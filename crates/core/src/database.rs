@@ -6,7 +6,7 @@ use crate::{Error, QueryResult, Result};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xmldb_obs::{span, FlightRecorder, QueryRecord, SpanTree, TraceScope};
-use xmldb_storage::{Env, EnvConfig, HeapFile};
+use xmldb_storage::{Env, EnvConfig, HeapFile, PageId};
 use xmldb_xasr::{shred_document, XasrStore};
 
 /// Name of the catalog file listing loaded documents.
@@ -42,7 +42,9 @@ struct FlightRun<'a> {
 }
 
 impl Database {
-    fn with_env(env: Env) -> Database {
+    /// A database over an already opened environment (e.g. one whose
+    /// backends carry a fault-injection decorator).
+    pub fn from_env(env: Env) -> Database {
         let capacity = std::env::var("SAARDB_FLIGHTREC_CAPACITY")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
@@ -59,18 +61,18 @@ impl Database {
 
     /// An in-memory database (tests, examples).
     pub fn in_memory() -> Database {
-        Database::with_env(Env::memory())
+        Database::from_env(Env::memory())
     }
 
     /// An in-memory database with an explicit storage configuration (page
     /// size, buffer-pool budget — the efficiency tests' 20 MB knob).
     pub fn in_memory_with(config: EnvConfig) -> Database {
-        Database::with_env(Env::memory_with(config))
+        Database::from_env(Env::memory_with(config))
     }
 
     /// Opens (creating if needed) an on-disk database.
     pub fn open_dir(path: impl Into<std::path::PathBuf>, config: EnvConfig) -> Result<Database> {
-        Ok(Database::with_env(Env::open_dir(path, config)?))
+        Ok(Database::from_env(Env::open_dir(path, config)?))
     }
 
     /// The underlying storage environment.
@@ -93,21 +95,39 @@ impl Database {
     }
 
     /// Loads (shreds) an XML document under `name`.
+    ///
+    /// Under an installed transaction the load is made durable by that
+    /// transaction's commit and nothing is flushed here. Without one, the
+    /// load (document files and catalog entry together) is flushed once
+    /// before this returns; if that flush fails the document is removed
+    /// again (best effort, as for a failed shred) and the error returned.
     pub fn load_document(&self, name: &str, xml: &str) -> Result<()> {
         if XasrStore::exists(&self.env, name) {
             return Err(Error::DocumentExists(name.to_string()));
         }
-        if let Err(e) = shred_document(&self.env, name, xml) {
-            // A failed shred may have created some of the document's
+        let loaded = shred_document(&self.env, name, xml)
+            .map_err(Error::from)
+            .and_then(|_| self.catalog_add(name))
+            .and_then(|()| self.flush_unless_in_txn());
+        if let Err(e) = loaded {
+            // A failed load may have created some of the document's
             // files already; remove them so the name is reusable. (Best
             // effort: if the failure was the disk filling up, the
             // environment is read-only now and the removal fails too —
             // callers that answered "load failed" must compensate once
             // it is writable again.)
             let _ = XasrStore::drop_document(&self.env, name);
-            return Err(e.into());
+            return Err(e);
         }
-        self.catalog_add(name)?;
+        Ok(())
+    }
+
+    /// The untransacted write path's durability point; a no-op under an
+    /// installed transaction, whose commit is.
+    fn flush_unless_in_txn(&self) -> Result<()> {
+        if !self.env.in_txn() {
+            self.env.flush()?;
+        }
         Ok(())
     }
 
@@ -124,13 +144,14 @@ impl Database {
 
     /// Replaces a document wholesale — the paper's "keep updates as simple
     /// as possible": no in-place node edits or relabeling, just reshred.
+    /// Durable like [`Database::load_document`].
     pub fn replace_document(&self, name: &str, xml: &str) -> Result<()> {
         if XasrStore::exists(&self.env, name) {
             XasrStore::drop_document(&self.env, name)?;
         }
         shred_document(&self.env, name, xml)?;
         self.catalog_add(name)?;
-        Ok(())
+        self.flush_unless_in_txn()
     }
 
     /// Removes a document and its indexes.
@@ -156,31 +177,88 @@ impl Database {
         XasrStore::exists(&self.env, name)
     }
 
-    /// Names of loaded documents (catalog order, duplicates and dropped
-    /// entries pruned).
+    /// Names of loaded documents, in the order they were (last) loaded.
     pub fn documents(&self) -> Result<Vec<String>> {
-        if !self.env.file_exists(CATALOG) {
-            return Ok(Vec::new());
+        match self.open_catalog()? {
+            Some(heap) => Ok(self.catalog_live(&heap)?.0),
+            None => Ok(Vec::new()),
         }
-        let heap = HeapFile::open(&self.env, CATALOG)?;
-        let mut names = Vec::new();
-        for rec in heap.scan() {
-            let rec = rec?;
-            let name = String::from_utf8_lossy(&rec).into_owned();
-            if !names.contains(&name) && XasrStore::exists(&self.env, &name) {
-                names.push(name);
-            }
-        }
-        Ok(names)
     }
 
+    /// Opens the catalog heap; `None` if there is none. A catalog file
+    /// whose meta page is all zeros (or which has no pages) was created by
+    /// a load that never committed — recovery rolled its pages back and
+    /// left the file — so it counts as absent, not as corrupt.
+    fn open_catalog(&self) -> Result<Option<HeapFile>> {
+        if !self.env.file_exists(CATALOG) {
+            return Ok(None);
+        }
+        match HeapFile::open(&self.env, CATALOG) {
+            Ok(heap) => Ok(Some(heap)),
+            Err(e) => {
+                let file = self.env.open_file(CATALOG)?;
+                let never_committed = self.env.page_count(file)? == 0
+                    || self
+                        .env
+                        .with_page(file, PageId(0), |d| d.iter().all(|&b| b == 0))?;
+                if never_committed {
+                    Ok(None)
+                } else {
+                    Err(e.into())
+                }
+            }
+        }
+    }
+
+    /// The live names of a catalog heap in load order, and its record
+    /// count. A name's *last* record is its current load: earlier ones
+    /// belong to loads since dropped, as do records of names whose files
+    /// are gone.
+    fn catalog_live(&self, heap: &HeapFile) -> Result<(Vec<String>, u64)> {
+        let mut names: Vec<String> = Vec::new();
+        let mut records = 0;
+        for rec in heap.scan() {
+            let name = String::from_utf8_lossy(&rec?).into_owned();
+            names.retain(|n| *n != name);
+            names.push(name);
+            records += 1;
+        }
+        names.retain(|n| XasrStore::exists(&self.env, n));
+        Ok((names, records))
+    }
+
+    /// Appends `name` to the catalog. Drops leave their records behind, so
+    /// once dead records outnumber live ones the catalog is rewritten in
+    /// place with just the live names: its size stays bounded by the live
+    /// document count, not by the number of loads ever made.
     fn catalog_add(&self, name: &str) -> Result<()> {
-        let mut heap = if self.env.file_exists(CATALOG) {
-            HeapFile::open(&self.env, CATALOG)?
-        } else {
-            HeapFile::create(&self.env, CATALOG)?
+        if self.env.file_exists(CATALOG) {
+            // Write-lock the meta page before reading the catalog: two
+            // transactional loads that both read it first would deadlock
+            // upgrading their shared locks; this way the second one waits.
+            let file = self.env.open_file(CATALOG)?;
+            if self.env.page_count(file)? > 0 {
+                self.env.with_page_mut(file, PageId(0), |_| ())?;
+            }
+        }
+        let mut heap = match self.open_catalog()? {
+            Some(heap) => heap,
+            None => {
+                if self.env.file_exists(CATALOG) {
+                    // A never-committed leftover: start afresh.
+                    self.env.remove_file(self.env.open_file(CATALOG)?)?;
+                }
+                HeapFile::create(&self.env, CATALOG)?
+            }
         };
         heap.append(name.as_bytes())?;
+        let (live, records) = self.catalog_live(&heap)?;
+        if records > 2 * live.len() as u64 {
+            heap.clear()?;
+            for name in &live {
+                heap.append(name.as_bytes())?;
+            }
+        }
         Ok(())
     }
 
@@ -439,6 +517,101 @@ mod tests {
         db.drop_document("a").unwrap();
         assert_eq!(db.documents().unwrap(), vec!["b".to_string()]);
         assert!(!db.has_document("a"));
+    }
+
+    #[test]
+    fn catalog_stays_bounded_by_live_documents() {
+        let db = Database::in_memory();
+        let mut live = std::collections::VecDeque::new();
+        for i in 0..200 {
+            let name = format!("doc{i:03}");
+            db.load_document(&name, "<a/>").unwrap();
+            live.push_back(name);
+            if live.len() > 4 {
+                db.drop_document(&live.pop_front().unwrap()).unwrap();
+            }
+        }
+        assert_eq!(db.documents().unwrap(), Vec::from(live));
+        let catalog = HeapFile::open(db.env(), CATALOG).unwrap();
+        assert!(
+            catalog.data_pages().unwrap() <= 1,
+            "catalog grew past a page"
+        );
+        assert!(catalog.len() <= 2 * 5, "{} records", catalog.len());
+    }
+
+    #[test]
+    fn reloaded_name_lists_at_its_new_position() {
+        let db = Database::in_memory();
+        db.load_document("a", "<x/>").unwrap();
+        db.load_document("b", "<y/>").unwrap();
+        db.drop_document("a").unwrap();
+        db.load_document("a", "<z/>").unwrap();
+        assert_eq!(db.documents().unwrap(), ["b", "a"]);
+    }
+
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("saardb-db-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A ≈10 KB document of `n`-numbered elements.
+    fn sized_doc(n: usize) -> String {
+        let body: String = (0..n).map(|i| format!("<e>value {i}</e>")).collect();
+        format!("<r>{body}</r>")
+    }
+
+    #[test]
+    fn committed_loads_checkpoint_the_log() {
+        use xmldb_storage::wal::WAL_CHECKPOINT_BYTES;
+        let dir = scratch_dir("txn-ckpt");
+        let db = Database::open_dir(&dir, EnvConfig::default()).unwrap();
+        let xml = sized_doc(600);
+        let mut logged = 0;
+        for i in 0..40 {
+            let before = db.env().io_stats().wal_bytes;
+            let txn = db.begin();
+            {
+                let _scope = txn.install();
+                db.load_document(&format!("d{i}"), &xml).unwrap();
+            }
+            txn.commit().unwrap();
+            let txn_bytes = db.env().io_stats().wal_bytes - before;
+            logged += txn_bytes;
+            let wal = db.env().wal_bytes().unwrap();
+            assert!(
+                wal <= WAL_CHECKPOINT_BYTES + txn_bytes,
+                "load {i}: wal.log at {wal} bytes"
+            );
+            if i >= 4 {
+                db.drop_document(&format!("d{}", i - 4)).unwrap();
+            }
+        }
+        assert!(
+            logged > 2 * WAL_CHECKPOINT_BYTES,
+            "the loop crossed the threshold"
+        );
+        drop(db);
+        let db = Database::open_dir(&dir, EnvConfig::default()).unwrap();
+        assert_eq!(db.documents().unwrap(), ["d36", "d37", "d38", "d39"]);
+        assert_eq!(db.document_xml("d39").unwrap(), xml);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn drop_syncs_the_wal_once() {
+        let dir = scratch_dir("drop-sync");
+        let db = Database::open_dir(&dir, EnvConfig::default()).unwrap();
+        db.load_document("f", FIGURE2).unwrap();
+        let before = db.env().io_stats();
+        db.drop_document("f").unwrap();
+        let d = db.env().io_stats().delta(&before);
+        assert_eq!((d.wal_appends, d.wal_syncs), (5, 1), "{d:?}");
+        drop(db);
+        let db = Database::open_dir(&dir, EnvConfig::default()).unwrap();
+        assert!(!db.has_document("f"), "the drop survives a reopen");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

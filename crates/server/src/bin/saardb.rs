@@ -321,7 +321,6 @@ fn run(db: &Database, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         ["load", name, file] => {
             let started = std::time::Instant::now();
             db.load_document_from_path(name, file)?;
-            db.flush()?;
             let stats = db.store(name)?.stats().clone();
             eprintln!(
                 "loaded {name}: {} nodes in {:.1} ms",
@@ -332,7 +331,6 @@ fn run(db: &Database, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         ["replace", name, file] => {
             let xml = std::fs::read_to_string(file)?;
             db.replace_document(name, &xml)?;
-            db.flush()?;
             eprintln!("replaced {name}");
         }
         ["drop", name] => {
@@ -774,10 +772,10 @@ fn shell_statement(
                 .split_once(char::is_whitespace)
                 .ok_or("load <doc> <file.xml>")?;
             let _scope = txn.as_ref().map(|t| t.install());
+            // Untransacted, the load flushes itself; in a transaction
+            // the commit makes it durable.
             db.load_document_from_path(name, file.trim())?;
-            if txn.is_none() {
-                db.flush()?;
-            } else {
+            if txn.is_some() {
                 txn_loads.push(name.to_string());
             }
             eprintln!("-- loaded {name}");

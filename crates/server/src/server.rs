@@ -839,9 +839,11 @@ fn run_session(shared: &Arc<Shared>, mut stream: TcpStream, id: u64, queued: boo
     // Cleanup: a client that vanished mid-transaction must not keep its
     // page locks — roll back now, not at some later GC.
     if let Some(txn) = session.txn.take() {
-        shared.metrics.disconnect_rollbacks_total.inc();
         let _ = txn.rollback();
         session.drop_txn_created_docs();
+        // Counted once settled: an observer that sees the count sees no
+        // trace of the rolled-back transaction.
+        shared.metrics.disconnect_rollbacks_total.inc();
     }
     shared.remove_session(id);
     shared.release_slot();
@@ -1250,29 +1252,23 @@ impl Session {
                 };
                 match result {
                     Ok(()) => {
+                        // Untransacted, the load flushed itself; in a
+                        // transaction the commit makes it durable.
                         if self.txn.is_some() {
                             self.txn_created_docs.push(name.clone());
-                        } else if let Err(e) = self.shared.db.flush() {
-                            // The durability step failed and the client
-                            // hears an error, so the document must not
-                            // materialize later. If it cannot be removed
-                            // right now (the flush just degraded the
-                            // environment to read-only), park it for the
-                            // watchdog to drop after recovery.
-                            if self.shared.db.drop_document(name).is_err() {
-                                self.shared.orphaned_docs.lock().unwrap().push(name.clone());
-                            }
-                            return self.error_response(&e);
                         }
                         Response::Done {
                             info: format!("loaded {name}"),
                         }
                     }
                     Err(e) => {
-                        // A load that died because the disk filled may
-                        // have left partial files that cannot be removed
-                        // while the environment is read-only; park the
-                        // name for the watchdog to clean after recovery.
+                        // The client hears "load failed", so the document
+                        // must not materialize later. The load removes
+                        // what it created, but a load that died because
+                        // the disk filled (in the shred or in its final
+                        // flush) leaves files that cannot be removed while
+                        // the environment is read-only: park the name for
+                        // the watchdog to scrub after recovery.
                         if e.is_no_space() || e.is_read_only() {
                             self.shared.orphaned_docs.lock().unwrap().push(name.clone());
                         }

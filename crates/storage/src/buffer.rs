@@ -96,8 +96,8 @@ pub struct IoStats {
     pub wal_appends: Arc<Counter>,
     /// Bytes appended to the WAL.
     pub wal_bytes: Arc<Counter>,
-    /// WAL fsyncs issued (one per eviction steal, one per group-commit
-    /// leader).
+    /// WAL fsyncs issued (one per logged eviction steal, one per
+    /// group-commit leader).
     pub wal_syncs: Arc<Counter>,
     /// Snapshot cuts that never stabilized: [`IoStats::snapshot`] gave up
     /// after its bounded retries and returned the last read. Non-zero is
@@ -348,12 +348,22 @@ pub enum AccessMode {
     Write,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct FrameMeta {
     tag: Option<(FileId, PageId)>,
     pin: u32,
     refbit: bool,
     dirty: bool,
+    /// The frame's current image is durable in the WAL (a transaction
+    /// commit logged it and its sync returned): write-back needs no log
+    /// record. Cleared by every write acquire and by a WAL checkpoint.
+    durable: bool,
+    /// Write pins currently held.
+    writers: u32,
+    /// Bumped when a write pin is released and when the frame loads a
+    /// page: equal versions bracket an interval with no write to the
+    /// frame (see [`BufferPool::mark_durable`]).
+    version: u64,
 }
 
 struct PoolState {
@@ -448,14 +458,7 @@ impl BufferPool {
                 let frames = capacity / nshards + usize::from(i < capacity % nshards);
                 Shard {
                     state: Mutex::new(PoolState {
-                        metas: (0..frames)
-                            .map(|_| FrameMeta {
-                                tag: None,
-                                pin: 0,
-                                refbit: false,
-                                dirty: false,
-                            })
-                            .collect(),
+                        metas: (0..frames).map(|_| FrameMeta::default()).collect(),
                         table: HashMap::new(),
                         clock: 0,
                     }),
@@ -512,12 +515,58 @@ impl BufferPool {
         io: &dyn PoolIo,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R> {
-        let pin = PinGuard::new(self, self.acquire(file, page, AccessMode::Read, io)?);
+        let pin = PinGuard::new(self, self.acquire(file, page, AccessMode::Read, io)?, false);
         let result = {
             let guard = self.shards[pin.shard].data[pin.idx].read();
             f(&guard)
         };
         Ok(result)
+    }
+
+    /// [`Self::with_frame_read`] that also returns the frame's write
+    /// version, read *before* `f` sees the bytes. Handing the version to
+    /// [`Self::mark_durable`] later marks the frame only if no write
+    /// touched it in between.
+    pub(crate) fn with_frame_read_versioned<R>(
+        &self,
+        file: FileId,
+        page: PageId,
+        io: &dyn PoolIo,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<(R, u64)> {
+        let pin = PinGuard::new(self, self.acquire(file, page, AccessMode::Read, io)?, false);
+        let shard = &self.shards[pin.shard];
+        let version = shard.state.lock().metas[pin.idx].version;
+        let result = f(&shard.data[pin.idx].read());
+        Ok((result, version))
+    }
+
+    /// Marks the frame holding `(file, page)` as durable in the WAL —
+    /// called by a transaction commit once its images are synced. Refused
+    /// (returns `false`) when the page is no longer resident, a write pin
+    /// is held, or any write released since `version` was read: the
+    /// frame's bytes may then differ from the image the commit logged.
+    pub(crate) fn mark_durable(&self, file: FileId, page: PageId, version: u64) -> bool {
+        let mut state = self.shards[self.shard_of(file, page)].state.lock();
+        let Some(&idx) = state.table.get(&(file, page)) else {
+            return false;
+        };
+        let meta = &mut state.metas[idx];
+        let unchanged = meta.version == version && meta.writers == 0;
+        if unchanged {
+            meta.durable = true;
+        }
+        unchanged
+    }
+
+    /// Clears every frame's durable-in-WAL bit: the log was checkpointed,
+    /// so the images those bits vouched for are gone.
+    pub(crate) fn clear_durable(&self) {
+        for shard in &self.shards {
+            for meta in &mut shard.state.lock().metas {
+                meta.durable = false;
+            }
+        }
     }
 
     /// Runs `f` on the mutable contents of `(file, page)`, faulting it in
@@ -529,7 +578,7 @@ impl BufferPool {
         io: &dyn PoolIo,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> Result<R> {
-        let pin = PinGuard::new(self, self.acquire(file, page, AccessMode::Write, io)?);
+        let pin = PinGuard::new(self, self.acquire(file, page, AccessMode::Write, io)?, true);
         // Frame data lock is only ever contended by another fetch of the
         // same page; the shard lock is not held here.
         let result = {
@@ -565,6 +614,8 @@ impl BufferPool {
             meta.refbit = true;
             if mode == AccessMode::Write {
                 meta.dirty = true;
+                meta.durable = false;
+                meta.writers += 1;
             }
             shard.stats.hits.inc();
             return Ok((shard_idx, idx));
@@ -575,14 +626,17 @@ impl BufferPool {
         // Write back the victim while still holding the shard lock, so no
         // other fetch can read stale bytes for the evicted page. This is a
         // *steal* — the page may carry uncommitted changes — so its images
-        // must be durable in the WAL before the data file is touched.
+        // must be durable in the WAL before the data file is touched. A
+        // frame a commit already logged is written back without a record.
         let old = state.metas[idx].tag;
         if let Some((old_file, old_page)) = old {
             if state.metas[idx].dirty {
                 let backend = io.backend(old_file)?;
                 let data = shard.data[idx].read();
-                io.wal_page_image(old_file, old_page, &data)?;
-                io.wal_sync()?;
+                if !state.metas[idx].durable {
+                    io.wal_page_image(old_file, old_page, &data)?;
+                    io.wal_sync()?;
+                }
                 backend.write_page(old_page, &data)?;
                 shard.stats.physical_writes.inc();
             }
@@ -604,14 +658,21 @@ impl BufferPool {
         meta.pin = 1;
         meta.refbit = true;
         meta.dirty = mode == AccessMode::Write;
+        meta.durable = false;
+        meta.writers = u32::from(mode == AccessMode::Write);
+        meta.version = meta.version.wrapping_add(1);
         Ok((shard_idx, idx))
     }
 
-    fn release(&self, shard: usize, idx: usize) {
+    fn release(&self, shard: usize, idx: usize, write: bool) {
         let mut state = self.shards[shard].state.lock();
         let meta = &mut state.metas[idx];
         debug_assert!(meta.pin > 0, "release of unpinned frame");
         meta.pin -= 1;
+        if write {
+            meta.writers -= 1;
+            meta.version = meta.version.wrapping_add(1);
+        }
     }
 
     /// Writes back every dirty frame and syncs the touched files.
@@ -626,16 +687,18 @@ impl BufferPool {
     ///
     /// WAL ordering: every dirty page's images are appended first and
     /// synced with a single fsync, and only then do the data-file writes
-    /// begin.
+    /// begin. Frames whose image a commit already made durable in the WAL
+    /// are written without a second record.
     pub(crate) fn flush(&self, io: &dyn PoolIo) -> Result<()> {
         let mut states: Vec<_> = self.shards.iter().map(|s| s.state.lock()).collect();
 
-        // Phase 1: log every dirty page, then force the log once.
+        // Phase 1: log every dirty page not yet durable in the WAL, then
+        // force the log once.
         let mut logged = false;
         for (si, shard) in self.shards.iter().enumerate() {
             for idx in 0..states[si].metas.len() {
                 let meta = &states[si].metas[idx];
-                if let (Some((file, page)), true) = (meta.tag, meta.dirty) {
+                if let (Some((file, page)), true) = (meta.tag, meta.dirty && !meta.durable) {
                     let data = shard.data[idx].read();
                     io.wal_page_image(file, page, &data)?;
                     logged = true;
@@ -675,34 +738,41 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Drops every frame belonging to `file` without write-back (the file
-    /// is being removed). Refuses with [`StorageError::FileBusy`] if any of
-    /// the file's frames is still pinned — silently unmapping a page
+    /// Drops every frame belonging to `files` without write-back (the
+    /// files are being removed). Refuses with [`StorageError::FileBusy`]
+    /// if any of their frames is still pinned — silently unmapping a page
     /// another operator holds would hand it a frame whose identity can
     /// change under it. All shard locks are held together so the
-    /// pinned-check and the unmapping are one atomic step.
-    pub(crate) fn invalidate_file(&self, file: FileId) -> Result<()> {
+    /// pinned-check and the unmapping are one atomic step for the whole
+    /// set: either every file's frames are dropped or none.
+    pub(crate) fn invalidate_files(&self, files: &[FileId]) -> Result<()> {
         // Lock shards in index order (the only place multiple shard locks
         // are held at once, so lock ordering is trivially consistent).
         let mut states: Vec<_> = self.shards.iter().map(|s| s.state.lock()).collect();
-        let pinned = states
-            .iter()
-            .flat_map(|state| state.metas.iter())
-            .filter(|m| matches!(m.tag, Some((f, _)) if f == file) && m.pin > 0)
-            .count();
-        if pinned > 0 {
-            return Err(StorageError::FileBusy {
-                file: format!("{file}"),
-                pinned,
-            });
+        for &file in files {
+            let pinned = states
+                .iter()
+                .flat_map(|state| state.metas.iter())
+                .filter(|m| m.tag.is_some_and(|(f, _)| f == file) && m.pin > 0)
+                .count();
+            if pinned > 0 {
+                return Err(StorageError::FileBusy {
+                    file: format!("{file}"),
+                    pinned,
+                });
+            }
         }
         for state in &mut states {
             for idx in 0..state.metas.len() {
-                if matches!(state.metas[idx].tag, Some((f, _)) if f == file) {
+                if state.metas[idx]
+                    .tag
+                    .is_some_and(|(f, _)| files.contains(&f))
+                {
                     if let Some(tag) = state.metas[idx].tag.take() {
                         state.table.remove(&tag);
                     }
                     state.metas[idx].dirty = false;
+                    state.metas[idx].durable = false;
                     state.metas[idx].refbit = false;
                 }
             }
@@ -735,17 +805,24 @@ struct PinGuard<'a> {
     pool: &'a BufferPool,
     shard: usize,
     idx: usize,
+    /// A write pin: its release bumps the frame's version.
+    write: bool,
 }
 
 impl<'a> PinGuard<'a> {
-    fn new(pool: &'a BufferPool, (shard, idx): (usize, usize)) -> PinGuard<'a> {
-        PinGuard { pool, shard, idx }
+    fn new(pool: &'a BufferPool, (shard, idx): (usize, usize), write: bool) -> PinGuard<'a> {
+        PinGuard {
+            pool,
+            shard,
+            idx,
+            write,
+        }
     }
 }
 
 impl Drop for PinGuard<'_> {
     fn drop(&mut self) {
-        self.pool.release(self.shard, self.idx);
+        self.pool.release(self.shard, self.idx, self.write);
     }
 }
 
@@ -865,12 +942,118 @@ mod tests {
         let f = FileId(3);
         let p = backend.allocate_page().unwrap();
         pool.with_frame_write(f, p, &r, |d| d[0] = 9).unwrap();
-        pool.invalidate_file(f).unwrap();
+        pool.invalidate_files(&[f]).unwrap();
         // Refetch misses and reads from the backend (which has zeros, since
         // the dirty frame was dropped, not flushed).
         let v = pool.with_frame_read(f, p, &r, |d| d[0]).unwrap();
         assert_eq!(v, 0);
         assert_eq!(pool.stats().snapshot().misses, 2);
+    }
+
+    /// Pool I/O over one backend that counts WAL hook calls.
+    struct CountingIo {
+        backend: Arc<dyn Backend>,
+        images: std::sync::atomic::AtomicUsize,
+        syncs: std::sync::atomic::AtomicUsize,
+    }
+
+    impl CountingIo {
+        fn new(backend: &Arc<dyn Backend>) -> CountingIo {
+            CountingIo {
+                backend: Arc::clone(backend),
+                images: Default::default(),
+                syncs: Default::default(),
+            }
+        }
+
+        fn counts(&self) -> (usize, usize) {
+            use std::sync::atomic::Ordering::SeqCst;
+            (self.images.load(SeqCst), self.syncs.load(SeqCst))
+        }
+    }
+
+    impl PoolIo for CountingIo {
+        fn backend(&self, _file: FileId) -> Result<Arc<dyn Backend>> {
+            Ok(Arc::clone(&self.backend))
+        }
+
+        fn wal_page_image(&self, _file: FileId, _page: PageId, _after: &[u8]) -> Result<()> {
+            self.images
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            Ok(())
+        }
+
+        fn wal_sync(&self) -> Result<()> {
+            self.syncs.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn durable_frames_are_written_back_without_logging() {
+        let (pool, backend) = setup(8);
+        let io = CountingIo::new(&backend);
+        let f = FileId(0);
+        let pages: Vec<PageId> = (0..16).map(|_| backend.allocate_page().unwrap()).collect();
+        pool.with_frame_write(f, pages[0], &io, |d| d[0] = 1)
+            .unwrap();
+        let (_, version) = pool
+            .with_frame_read_versioned(f, pages[0], &io, |_| ())
+            .unwrap();
+        assert!(pool.mark_durable(f, pages[0], version));
+        // Flush phase 1 skips the marked frame; phase 2 still writes it.
+        pool.flush(&io).unwrap();
+        assert_eq!(io.counts(), (0, 0));
+        let mut raw = vec![0u8; PS];
+        backend.read_page(pages[0], &mut raw).unwrap();
+        assert_eq!(raw[0], 1);
+        // A write clears the mark: its steal is logged again.
+        pool.with_frame_write(f, pages[0], &io, |d| d[0] = 2)
+            .unwrap();
+        for &p in &pages[1..] {
+            pool.with_frame_read(f, p, &io, |_| ()).unwrap();
+        }
+        assert_eq!(io.counts(), (1, 1), "the unmarked steal logs and syncs");
+        // A marked steal writes the page with no log record.
+        let (_, version) = pool
+            .with_frame_read_versioned(f, pages[0], &io, |_| ())
+            .unwrap();
+        pool.with_frame_write(f, pages[0], &io, |d| d[0] = 3)
+            .unwrap();
+        assert!(
+            !pool.mark_durable(f, pages[0], version),
+            "a write since the read refuses the mark"
+        );
+        let (_, version) = pool
+            .with_frame_read_versioned(f, pages[0], &io, |_| ())
+            .unwrap();
+        assert!(pool.mark_durable(f, pages[0], version));
+        for &p in &pages[1..] {
+            pool.with_frame_read(f, p, &io, |_| ()).unwrap();
+        }
+        assert_eq!(io.counts(), (1, 1), "the marked steal logs nothing");
+        backend.read_page(pages[0], &mut raw).unwrap();
+        assert_eq!(raw[0], 3);
+    }
+
+    #[test]
+    fn mark_refused_while_a_write_pin_is_held_and_cleared_by_checkpoint() {
+        let (pool, backend) = setup(8);
+        let r = resolver(&backend);
+        let f = FileId(0);
+        let p = backend.allocate_page().unwrap();
+        let (_, version) = pool.with_frame_read_versioned(f, p, &r, |_| ()).unwrap();
+        let (shard, idx) = pool.acquire(f, p, AccessMode::Write, &r).unwrap();
+        assert!(!pool.mark_durable(f, p, version), "writer mid-mutation");
+        pool.release(shard, idx, true);
+        assert!(!pool.mark_durable(f, p, version), "the write bumped it");
+        let (_, version) = pool.with_frame_read_versioned(f, p, &r, |_| ()).unwrap();
+        assert!(pool.mark_durable(f, p, version));
+        pool.clear_durable();
+        let io = CountingIo::new(&backend);
+        pool.flush(&io).unwrap();
+        assert_eq!(io.counts(), (1, 1), "cleared mark: logged again");
+        assert!(!pool.mark_durable(FileId(9), p, version), "not resident");
     }
 
     #[test]
@@ -920,13 +1103,13 @@ mod tests {
         let f = FileId(5);
         let p = backend.allocate_page().unwrap();
         let (shard, idx) = pool.acquire(f, p, AccessMode::Read, &r).unwrap();
-        let err = pool.invalidate_file(f).unwrap_err();
+        let err = pool.invalidate_files(&[f]).unwrap_err();
         assert!(
             matches!(err, StorageError::FileBusy { pinned: 1, .. }),
             "unexpected error: {err}"
         );
-        pool.release(shard, idx);
-        pool.invalidate_file(f).unwrap();
+        pool.release(shard, idx, false);
+        pool.invalidate_files(&[f]).unwrap();
         // Frame was unmapped: the next fetch is a miss.
         pool.with_frame_read(f, p, &r, |_| ()).unwrap();
         assert_eq!(pool.stats().snapshot().misses, 2);
@@ -947,7 +1130,7 @@ mod tests {
         // The pin was released during unwinding: the file can still be
         // invalidated and the pool reports no stuck pins.
         assert_eq!(pool.pinned_frames(), 0);
-        pool.invalidate_file(f).unwrap();
+        pool.invalidate_files(&[f]).unwrap();
     }
 
     #[test]

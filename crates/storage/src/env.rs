@@ -323,10 +323,7 @@ impl Env {
         if self.inner.txns.active_count() > 0 {
             return Ok(false);
         }
-        self.flush()?;
-        if let Some(wal) = &self.inner.wal {
-            self.note_wal(wal.checkpoint())?;
-        }
+        self.checkpoint()?;
         self.inner.read_only.store(false, Ordering::SeqCst);
         self.inner.read_only_gauge.set(0);
         Ok(true)
@@ -450,34 +447,57 @@ impl Env {
     /// file if any. Fails with [`StorageError::FileBusy`] while any of the
     /// file's pages is pinned by an in-flight operation.
     pub fn remove_file(&self, id: FileId) -> Result<()> {
-        if let Some((_, false)) = self.file_meta(id) {
+        self.remove_files(&[id])
+    }
+
+    /// [`Env::remove_file`] for a set of files with one WAL sync: every
+    /// durable file's deletion marker is appended, the log is forced once,
+    /// and only then are the files unlinked. Nothing is removed if any of
+    /// the files has a pinned page.
+    pub fn remove_files(&self, ids: &[FileId]) -> Result<()> {
+        let mut any_durable = false;
+        for &id in ids {
+            let (_, temp) = self
+                .file_meta(id)
+                .ok_or_else(|| StorageError::NoSuchFile(format!("{id}")))?;
+            any_durable |= !temp;
+        }
+        if any_durable {
             // Durable drops append a WAL marker; refuse while degraded.
             self.check_writable()?;
         }
-        self.inner.pager.pool.invalidate_file(id)?;
-        let entry = {
+        self.inner.pager.pool.invalidate_files(ids)?;
+        let mut entries = Vec::with_capacity(ids.len());
+        {
             let mut table = self.inner.pager.files.write();
-            let entry = table
-                .by_id
-                .remove(&id)
-                .ok_or_else(|| StorageError::NoSuchFile(format!("{id}")))?;
-            table.by_name.remove(&entry.name);
-            entry
-        };
-        // Log the drop ahead of the filesystem delete so recovery re-applies
-        // it instead of resurrecting the file from stale page images.
-        if let Some(wal) = &self.inner.wal {
-            if !entry.temp {
-                let synced = self.note_wal(wal.append_delete(&entry.name))?;
-                let stats = self.inner.pager.pool.stats();
-                stats.wal_appends.inc();
-                if synced {
-                    stats.wal_syncs.inc();
+            for id in ids {
+                if let Some(entry) = table.by_id.remove(id) {
+                    table.by_name.remove(&entry.name);
+                    entries.push(entry);
                 }
             }
         }
-        if let Some(path) = entry.backend.path() {
-            std::fs::remove_file(path)?;
+        // Log the drops ahead of the filesystem deletes so recovery
+        // re-applies them instead of resurrecting the files from stale
+        // page images.
+        let durable: Vec<&str> = entries
+            .iter()
+            .filter(|e| !e.temp)
+            .map(|e| e.name.as_str())
+            .collect();
+        if let (Some(wal), false) = (&self.inner.wal, durable.is_empty()) {
+            let (bytes, synced) = self.note_wal(wal.append_deletes(&durable))?;
+            let stats = self.inner.pager.pool.stats();
+            stats.wal_appends.add(durable.len() as u64);
+            stats.wal_bytes.add(bytes);
+            if synced {
+                stats.wal_syncs.inc();
+            }
+        }
+        for entry in &entries {
+            if let Some(path) = entry.backend.path() {
+                std::fs::remove_file(path)?;
+            }
         }
         Ok(())
     }
@@ -530,6 +550,13 @@ impl Env {
     /// no locks) and [`Env::flush`] remains the durability point.
     pub fn begin_txn(&self) -> Txn {
         Txn::begin(self)
+    }
+
+    /// True if the calling thread has a transaction on this environment
+    /// installed: its writes become durable at [`Txn::commit`], so callers
+    /// must not [`Env::flush`] on its behalf.
+    pub fn in_txn(&self) -> bool {
+        txn::installed_on(self)
     }
 
     /// Number of live transactions on this environment.
@@ -585,6 +612,22 @@ impl Env {
             .with_frame_read(file, page, &EnvIo(self), |d| d.to_vec())
     }
 
+    /// [`Env::read_page_vec`] plus the frame's write version, for a later
+    /// [`Env::mark_durable`].
+    pub(crate) fn read_page_versioned(&self, file: FileId, page: PageId) -> Result<(Vec<u8>, u64)> {
+        self.inner
+            .pager
+            .pool
+            .with_frame_read_versioned(file, page, &EnvIo(self), |d| d.to_vec())
+    }
+
+    /// Records that the page's pool image, as read at `version`, is
+    /// durable in the WAL, so write-back logs nothing more (no-op if the
+    /// frame was written since).
+    pub(crate) fn mark_durable(&self, file: FileId, page: PageId, version: u64) {
+        self.inner.pager.pool.mark_durable(file, page, version);
+    }
+
     /// Overwrites a page with `data` (pool write, marks dirty). Bypasses
     /// the transaction hooks — rollback's pre-image restore.
     pub(crate) fn write_page_raw(&self, file: FileId, page: PageId, data: &[u8]) -> Result<()> {
@@ -611,7 +654,15 @@ impl Env {
     /// whose undo records the truncation would discard; the next
     /// quiescent flush catches up.
     pub fn flush(&self) -> Result<()> {
+        self.flush_and_checkpoint(false)
+    }
+
+    /// [`Env::flush`], then a checkpoint when `force`d or due by
+    /// threshold, and no transaction is live. Holds the checkpoint gate
+    /// throughout (see [`crate::txn`]).
+    fn flush_and_checkpoint(&self, force: bool) -> Result<()> {
         let _span = span("storage.flush");
+        let _gate = self.inner.txns.checkpoint_gate.write();
         self.inner.pager.pool.flush(&EnvIo(self))?;
         // Sync every backend: pages stolen by eviction since the last
         // flush were written without a data-file sync.
@@ -639,13 +690,9 @@ impl Env {
             if self.note_wal(wal.sync_to(a.end))? {
                 stats.wal_syncs.inc();
             }
-            if wal.len() > WAL_CHECKPOINT_BYTES && self.inner.txns.active_count() == 0 {
-                let checkpointed = wal.len();
-                self.note_wal(wal.checkpoint())?;
-                self.inner
-                    .registry
-                    .counter("saardb_wal_checkpoint_bytes_total", &[])
-                    .add(checkpointed);
+            let due = force || wal.len() > WAL_CHECKPOINT_BYTES;
+            if due && self.inner.txns.active_count() == 0 {
+                self.truncate_log()?;
             }
         }
         Ok(())
@@ -657,11 +704,38 @@ impl Env {
     /// (flush still runs) while any transaction is in flight — truncation
     /// would discard its undo records.
     pub fn checkpoint(&self) -> Result<()> {
-        self.flush()?;
+        self.flush_and_checkpoint(true)
+    }
+
+    /// The auto-checkpoint of a finished transaction commit: once the log
+    /// is past [`WAL_CHECKPOINT_BYTES`] and no transaction is in flight,
+    /// flush (which checkpoints by the same rule). The commit is already
+    /// durable, so a failure here is not the committer's: a full disk
+    /// latches read-only as on any WAL write, and the error goes no
+    /// further.
+    pub(crate) fn checkpoint_if_due(&self) {
+        let due = self
+            .inner
+            .wal
+            .as_ref()
+            .is_some_and(|wal| wal.len() > WAL_CHECKPOINT_BYTES);
+        if due && self.inner.txns.active_count() == 0 {
+            let _ = self.flush();
+        }
+    }
+
+    /// Replaces the log with a fresh one (data files must be consistent:
+    /// call right after a flush, under the checkpoint gate) and clears
+    /// the pool's durable-in-WAL marks, whose images the old log held.
+    fn truncate_log(&self) -> Result<()> {
         if let Some(wal) = &self.inner.wal {
-            if self.inner.txns.active_count() == 0 {
-                self.note_wal(wal.checkpoint())?;
-            }
+            let checkpointed = wal.len();
+            self.note_wal(wal.checkpoint())?;
+            self.inner.pager.pool.clear_durable();
+            self.inner
+                .registry
+                .counter("saardb_wal_checkpoint_bytes_total", &[])
+                .add(checkpointed);
         }
         Ok(())
     }

@@ -125,19 +125,19 @@ impl HeapFile {
         }
         let page_size = self.env.page_size();
         let page = match self.tail {
-            Some(p) => {
-                let free = self.env.with_page(self.file, p, free_off)?;
-                if free as usize + needed <= page_size {
-                    p
-                } else {
-                    let np = self.env.allocate_page(self.file)?;
-                    self.init_data_page(np)?;
-                    self.tail = Some(np);
-                    np
-                }
+            Some(p)
+                if self.env.with_page(self.file, p, free_off)? as usize + needed <= page_size =>
+            {
+                p
             }
-            None => {
-                let np = self.env.allocate_page(self.file)?;
+            tail => {
+                // The next page: an emptied one left by `clear`, or a new one.
+                let next = PageId(tail.map_or(1, |p| p.0 + 1));
+                let np = if next.0 < self.env.page_count(self.file)? {
+                    next
+                } else {
+                    self.env.allocate_page(self.file)?
+                };
                 self.init_data_page(np)?;
                 self.tail = Some(np);
                 np
@@ -156,6 +156,24 @@ impl HeapFile {
             data[META_COUNT_OFF..META_COUNT_OFF + 8].copy_from_slice(&self.count.to_le_bytes());
         })?;
         Ok(())
+    }
+
+    /// Removes every record. The file keeps its pages, emptied; later
+    /// appends refill them from the first, so a heap that is cleared and
+    /// rewritten whenever most of its records are dead stays within its
+    /// high-water size.
+    pub fn clear(&mut self) -> Result<()> {
+        for index in 0..self.data_pages()? {
+            let page = PageId(index + 1);
+            if self.env.with_page(self.file, page, nrecords)? > 0 {
+                self.init_data_page(page)?;
+            }
+        }
+        self.count = 0;
+        self.tail = None;
+        self.env.with_page_mut(self.file, PageId(0), |data| {
+            data[META_COUNT_OFF..META_COUNT_OFF + 8].copy_from_slice(&0u64.to_le_bytes());
+        })
     }
 
     /// Appends a record assembled from parts (saves a concat allocation for
@@ -412,6 +430,28 @@ mod tests {
         heap.append(b"x").unwrap();
         let recs: Vec<Vec<u8>> = heap.scan().map(|r| r.unwrap()).collect();
         assert_eq!(recs, vec![Vec::<u8>::new(), b"x".to_vec()]);
+    }
+
+    #[test]
+    fn clear_refills_its_pages_in_order() {
+        let env = Env::memory_with(EnvConfig {
+            page_size: 256,
+            pool_bytes: 8 * 256,
+        });
+        let mut heap = HeapFile::create(&env, "h").unwrap();
+        for i in 0..20u8 {
+            heap.append(&[i; 100]).unwrap();
+        }
+        let pages = env.page_count(heap.file_id()).unwrap();
+        heap.clear().unwrap();
+        assert!(heap.is_empty());
+        assert_eq!(heap.scan().count(), 0);
+        for i in 0..20u8 {
+            heap.append(&[100 + i; 100]).unwrap();
+        }
+        assert_eq!(env.page_count(heap.file_id()).unwrap(), pages, "no growth");
+        let firsts: Vec<u8> = heap.scan().map(|r| r.unwrap()[0]).collect();
+        assert_eq!(firsts, (100..120).collect::<Vec<u8>>());
     }
 
     #[test]

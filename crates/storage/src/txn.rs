@@ -28,6 +28,13 @@
 //!   concurrent committers batch behind a single `sync_data`, so
 //!   `saardb_wal_syncs` grows sublinearly in committers. A read-only
 //!   transaction appends nothing and costs no fsync at all.
+//! * **Commit is the durability point.** Nothing flushes on a
+//!   transaction's behalf before it commits. Once the sync returns, every
+//!   frame still holding the image just logged is marked *durable in the
+//!   WAL*, and its later write-back (eviction steal or [`Env::flush`])
+//!   appends no second record and waits on no fsync. Any write to the
+//!   frame clears the mark, and so does a checkpoint. A commit that leaves
+//!   the log past its checkpoint threshold checkpoints it.
 //!
 //! Crash semantics: pages dirtied under a transaction may be *stolen* to
 //! disk at any time (the pool's steal/no-force policy); the steal hook
@@ -39,6 +46,7 @@ use crate::env::{Env, FileId};
 use crate::error::StorageError;
 use crate::governor::Governor;
 use crate::page::PageId;
+use crate::wal::Wal;
 use crate::Result;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -258,6 +266,14 @@ pub(crate) struct TxnManager {
     owners: Mutex<HashMap<PageKey, u64>>,
     pub(crate) locks: LockTable,
     pub(crate) counters: TxnCounters,
+    /// Orders log truncation against transactions: a commit holds it
+    /// shared while it logs and marks its pages, a begin while it joins
+    /// the active set, and [`Env::flush`] exclusively from its page
+    /// write-back to its checkpoint. So a checkpoint that finds no live
+    /// transaction discards no record a commit or a steal still needs:
+    /// every commit either finished before the flush wrote its pages back
+    /// or logs into the fresh log.
+    pub(crate) checkpoint_gate: parking_lot::RwLock<()>,
 }
 
 impl TxnManager {
@@ -268,6 +284,7 @@ impl TxnManager {
             owners: Mutex::new(HashMap::new()),
             locks: LockTable::new(),
             counters: TxnCounters::new(registry),
+            checkpoint_gate: parking_lot::RwLock::new(()),
         }
     }
 
@@ -376,6 +393,12 @@ fn installed() -> bool {
     CURRENT.with(|c| !c.borrow().is_empty())
 }
 
+/// True if a transaction on `env` is installed on this thread (backs
+/// [`Env::in_txn`]).
+pub(crate) fn installed_on(env: &Env) -> bool {
+    installed() && current().is_some_and(|txn| txn.env.same_env(env))
+}
+
 /// Page-read hook for [`Env::with_page`]: under an installed transaction
 /// on `env`, takes (and holds, per strict 2PL) a shared lock on the page.
 #[inline]
@@ -415,10 +438,13 @@ impl Txn {
                 written: HashSet::new(),
             }),
         });
-        mgr.active
-            .lock()
-            .unwrap()
-            .insert(id, Arc::downgrade(&inner));
+        {
+            let _gate = mgr.checkpoint_gate.read();
+            mgr.active
+                .lock()
+                .unwrap()
+                .insert(id, Arc::downgrade(&inner));
+        }
         mgr.counters.begins.inc();
         Txn {
             env: env.clone(),
@@ -527,6 +553,13 @@ impl Txn {
     /// wrote nothing commits without touching the log (and without an
     /// fsync). On error the transaction stays active — roll it back (or
     /// drop it) and retry from `begin`.
+    ///
+    /// This is the only durability point of transactional writes: once the
+    /// sync returns, each logged frame still holding the logged image is
+    /// marked durable in the WAL, so a later steal or flush writes it back
+    /// without logging it again. After the locks are released, a commit
+    /// that left the log past [`crate::wal::WAL_CHECKPOINT_BYTES`]
+    /// checkpoints it when no other transaction is in flight.
     pub fn commit(&self) -> Result<()> {
         let writes = {
             let data = self.inner.data.lock().unwrap();
@@ -535,50 +568,65 @@ impl Txn {
             }
             data.writes.clone()
         };
-        let mgr = self.env.txns();
-        if !writes.is_empty() {
-            if let Some(wal) = self.env.wal() {
-                let stats = self.env.counters();
-                let mut appended = 0u64;
-                let mut bytes = 0u64;
-                for w in &writes {
-                    let Some((name, temp)) = self.env.file_meta(w.file) else {
-                        continue; // file dropped mid-transaction
-                    };
-                    if temp {
-                        continue;
-                    }
-                    let after = self.env.read_page_vec(w.file, w.page)?;
-                    let a = self.env.note_wal(wal.append_txn_page_image(
-                        self.inner.id,
-                        &name,
-                        w.page,
-                        &w.pre_image,
-                        &after,
-                    ))?;
-                    appended += 1;
-                    bytes += a.bytes;
+        let logged = match (writes.is_empty(), self.env.wal()) {
+            (false, Some(wal)) => {
+                let _gate = self.env.txns().checkpoint_gate.read();
+                for (file, page, version) in self.log_writes(wal, &writes)? {
+                    self.env.mark_durable(file, page, version);
                 }
-                let counts = self.env.durable_file_counts();
-                let a = self.env.note_wal(wal.append_txn_commit(
-                    self.inner.id,
-                    self.env.page_size(),
-                    counts,
-                ))?;
-                appended += 1;
-                bytes += a.bytes;
-                stats.wal_appends.add(appended);
-                stats.wal_bytes.add(bytes);
-                if self.env.note_wal(wal.sync_to(a.end))? {
-                    stats.wal_syncs.inc();
-                } else {
-                    mgr.counters.group_followers.inc();
-                }
+                true
             }
-        }
+            _ => false,
+        };
         self.finish(TxnStatus::Committed);
-        mgr.counters.commits.inc();
+        self.env.txns().counters.commits.inc();
+        if logged {
+            self.env.checkpoint_if_due();
+        }
         Ok(())
+    }
+
+    /// Appends the write set's images and the commit marker and syncs
+    /// them. Returns each logged page with the frame version its image was
+    /// read at, for the durable marks.
+    fn log_writes(&self, wal: &Wal, writes: &[WriteEntry]) -> Result<Vec<(FileId, PageId, u64)>> {
+        let mgr = self.env.txns();
+        let stats = self.env.counters();
+        let mut logged = Vec::with_capacity(writes.len());
+        let mut bytes = 0u64;
+        for w in writes {
+            let Some((name, temp)) = self.env.file_meta(w.file) else {
+                continue; // file dropped mid-transaction
+            };
+            if temp {
+                continue;
+            }
+            let (after, version) = self.env.read_page_versioned(w.file, w.page)?;
+            let a = self.env.note_wal(wal.append_txn_page_image(
+                self.inner.id,
+                &name,
+                w.page,
+                &w.pre_image,
+                &after,
+            ))?;
+            logged.push((w.file, w.page, version));
+            bytes += a.bytes;
+        }
+        let counts = self.env.durable_file_counts();
+        let a = self.env.note_wal(wal.append_txn_commit(
+            self.inner.id,
+            self.env.page_size(),
+            counts,
+        ))?;
+        bytes += a.bytes;
+        stats.wal_appends.add(logged.len() as u64 + 1);
+        stats.wal_bytes.add(bytes);
+        if self.env.note_wal(wal.sync_to(a.end))? {
+            stats.wal_syncs.inc();
+        } else {
+            mgr.counters.group_followers.inc();
+        }
+        Ok(logged)
     }
 
     /// Rolls back: restores every written page to its pre-image (newest

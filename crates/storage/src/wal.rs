@@ -14,6 +14,8 @@
 //!   written under an open transaction carry the transaction's id
 //!   ([`Record::TxnPageImage`]) so recovery can tell winners from losers
 //!   even when records of several transactions interleave in the log.
+//!   A frame whose image a transaction commit already logged is written
+//!   back with no second record: the committed after-image is in the log.
 //! * **A commit point** is either a successful `Env::flush` (the
 //!   environment-wide epoch, [`Record::Commit`]) or a transaction commit
 //!   ([`Record::TxnCommit`]): the write set's images and the marker are
@@ -41,7 +43,16 @@
 //! payload := 0x01 page-image | 0x02 commit | 0x03 file-delete
 //!          | 0x04 checkpoint | 0x05 txn-page-image | 0x06 txn-commit
 //!          | 0x07 txn-abort
+//! page-image     := [size: u32 LE] name [page: u64 LE] before? after
+//! txn-page-image := [txn: u64 LE] page-image
 //! ```
+//!
+//! `size` is the page size, except that its top bit (`ZERO_BEFORE`) says
+//! the before-image is all zeros and is *omitted*: replay and rollback
+//! rebuild it. Every page of a freshly created file has a zero
+//! before-image, so a document load logs each page once, not twice. A
+//! record without the flag carries both images in full — records written
+//! before the flag existed decode unchanged.
 //!
 //! A record whose length overruns the file or whose checksum mismatches
 //! ends the scan: it *is* the torn tail. A log whose very first record is
@@ -97,9 +108,16 @@ const TAG_TXN_PAGE_IMAGE: u8 = 0x05;
 const TAG_TXN_COMMIT: u8 = 0x06;
 const TAG_TXN_ABORT: u8 = 0x07;
 
-/// CRC-32 (IEEE, reflected) lookup table, built at compile time.
-static CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Flag bit in a page-image record's size field: the before-image is all
+/// zeros and is not stored. Page sizes are far below 2^31, so the bit is
+/// never part of a real size.
+const ZERO_BEFORE: u32 = 1 << 31;
+
+/// CRC-32 (IEEE, reflected) slicing-by-8 lookup tables, built at compile
+/// time: `CRC_TABLES[0]` is the classic byte table, and `CRC_TABLES[k][b]`
+/// is the CRC of byte `b` followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -112,19 +130,45 @@ static CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE 802.3, the zlib polynomial) over `bytes`. Public because
 /// the network wire protocol frames requests exactly like WAL records
-/// (`[len][crc32][payload]`) and shares this checksum.
+/// (`[len][crc32][payload]`) and shares this checksum. Eight bytes per
+/// step (slicing-by-8): a commit checksums every page image it logs, so
+/// this sits on the commit path.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -221,6 +265,24 @@ impl<'a> Reader<'a> {
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).ok()
     }
+    /// `size name page before? after` of a page-image record; a
+    /// [`ZERO_BEFORE`] size rebuilds the omitted before-image as zeros.
+    fn page_images(&mut self) -> Option<(String, u64, Vec<u8>, Vec<u8>)> {
+        let size = self.u32()?;
+        let page_size = (size & !ZERO_BEFORE) as usize;
+        let name = self.name()?;
+        let page = self.u64()?;
+        let before = if size & ZERO_BEFORE != 0 {
+            None
+        } else {
+            Some(self.take(page_size)?.to_vec())
+        };
+        // The after-image is read first so a bogus size fails here, before
+        // any zeros are allocated for it.
+        let after = self.take(page_size)?.to_vec();
+        let before = before.unwrap_or_else(|| vec![0; page_size]);
+        Some((name, page, before, after))
+    }
     fn file_counts(&mut self) -> Option<Vec<(String, u64)>> {
         let n = self.u32()? as usize;
         let mut files = Vec::with_capacity(n);
@@ -234,11 +296,44 @@ impl<'a> Reader<'a> {
 }
 
 fn put_page_images(p: &mut Vec<u8>, name: &str, page: u64, before: &[u8], after: &[u8]) {
-    put_u32(p, before.len() as u32);
+    let zero_before = before.iter().all(|&b| b == 0);
+    let size = before.len() as u32;
+    put_u32(
+        p,
+        if zero_before {
+            size | ZERO_BEFORE
+        } else {
+            size
+        },
+    );
     put_name(p, name);
     put_u64(p, page);
-    p.extend_from_slice(before);
+    if !zero_before {
+        p.extend_from_slice(before);
+    }
     p.extend_from_slice(after);
+}
+
+/// Payload of a page-image record, built straight from the caller's
+/// slices (no intermediate [`Record`] copy of two pages). `txn` selects the
+/// transaction-tagged form.
+fn page_image_payload(
+    txn: Option<u64>,
+    name: &str,
+    page: u64,
+    before: &[u8],
+    after: &[u8],
+) -> Vec<u8> {
+    let mut p = Vec::with_capacity(1 + 8 + 4 + 2 + name.len() + 8 + 2 * after.len());
+    match txn {
+        Some(txn) => {
+            p.push(TAG_TXN_PAGE_IMAGE);
+            put_u64(&mut p, txn);
+        }
+        None => p.push(TAG_PAGE_IMAGE),
+    }
+    put_page_images(&mut p, name, page, before, after);
+    p
 }
 
 fn put_file_counts(p: &mut Vec<u8>, files: &[(String, u64)]) {
@@ -258,10 +353,7 @@ impl Record {
                 page,
                 before,
                 after,
-            } => {
-                p.push(TAG_PAGE_IMAGE);
-                put_page_images(&mut p, name, *page, before, after);
-            }
+            } => return page_image_payload(None, name, *page, before, after),
             Record::Commit { page_size, files } => {
                 p.push(TAG_COMMIT);
                 put_u32(&mut p, *page_size);
@@ -278,11 +370,7 @@ impl Record {
                 page,
                 before,
                 after,
-            } => {
-                p.push(TAG_TXN_PAGE_IMAGE);
-                put_u64(&mut p, *txn);
-                put_page_images(&mut p, name, *page, before, after);
-            }
+            } => return page_image_payload(Some(*txn), name, *page, before, after),
             Record::TxnCommit {
                 txn,
                 page_size,
@@ -309,11 +397,7 @@ impl Record {
         };
         let rec = match r.u8()? {
             TAG_PAGE_IMAGE => {
-                let page_size = r.u32()? as usize;
-                let name = r.name()?;
-                let page = r.u64()?;
-                let before = r.take(page_size)?.to_vec();
-                let after = r.take(page_size)?.to_vec();
+                let (name, page, before, after) = r.page_images()?;
                 Record::PageImage {
                     name,
                     page,
@@ -330,11 +414,7 @@ impl Record {
             TAG_CHECKPOINT => Record::Checkpoint,
             TAG_TXN_PAGE_IMAGE => {
                 let txn = r.u64()?;
-                let page_size = r.u32()? as usize;
-                let name = r.name()?;
-                let page = r.u64()?;
-                let before = r.take(page_size)?.to_vec();
-                let after = r.take(page_size)?.to_vec();
+                let (name, page, before, after) = r.page_images()?;
                 Record::TxnPageImage {
                     txn,
                     name,
@@ -360,12 +440,11 @@ impl Record {
     }
 }
 
-fn frame(record: &Record) -> Vec<u8> {
-    let payload = record.encode();
+fn frame(payload: &[u8]) -> Vec<u8> {
     let mut framed = Vec::with_capacity(payload.len() + 8);
     put_u32(&mut framed, payload.len() as u32);
-    put_u32(&mut framed, crc32(&payload));
-    framed.extend_from_slice(&payload);
+    put_u32(&mut framed, crc32(payload));
+    framed.extend_from_slice(payload);
     framed
 }
 
@@ -486,9 +565,13 @@ impl Wal {
     }
 
     fn append(&self, record: &Record) -> Result<Appended> {
+        self.append_payload(&record.encode())
+    }
+
+    fn append_payload(&self, payload: &[u8]) -> Result<Appended> {
         use std::os::unix::fs::FileExt;
         self.check_space()?;
-        let framed = frame(record);
+        let framed = frame(payload);
         let mut len = self.len.lock();
         let file = self.file.read();
         file.write_all_at(&framed, *len).map_err(map_no_space)?;
@@ -510,12 +593,7 @@ impl Wal {
         after: &[u8],
     ) -> Result<Appended> {
         check_image_pair(before, after)?;
-        self.append(&Record::PageImage {
-            name: name.to_string(),
-            page: page.0,
-            before: before.to_vec(),
-            after: after.to_vec(),
-        })
+        self.append_payload(&page_image_payload(None, name, page.0, before, after))
     }
 
     /// Appends a page image tagged with the owning transaction. `before`
@@ -529,13 +607,7 @@ impl Wal {
         after: &[u8],
     ) -> Result<Appended> {
         check_image_pair(before, after)?;
-        self.append(&Record::TxnPageImage {
-            txn,
-            name: name.to_string(),
-            page: page.0,
-            before: before.to_vec(),
-            after: after.to_vec(),
-        })
+        self.append_payload(&page_image_payload(Some(txn), name, page.0, before, after))
     }
 
     /// Appends a commit marker carrying each file's committed page count.
@@ -567,15 +639,21 @@ impl Wal {
         self.append(&Record::TxnAbort { txn })
     }
 
-    /// Appends a file-deletion marker (synced immediately: drops are
-    /// applied to the filesystem right after, and must not be lost).
-    /// Returns `true` if this call issued the fsync itself — see
-    /// [`Wal::sync_to`].
-    pub fn append_delete(&self, name: &str) -> Result<bool> {
-        let a = self.append(&Record::Delete {
-            name: name.to_string(),
-        })?;
-        self.sync_to(a.end)
+    /// Appends one file-deletion marker per name and forces them with a
+    /// single sync (drops are applied to the filesystem right after, and
+    /// must not be lost). Returns the bytes appended and whether this call
+    /// issued the fsync itself — see [`Wal::sync_to`].
+    pub fn append_deletes(&self, names: &[&str]) -> Result<(u64, bool)> {
+        let mut bytes = 0;
+        let mut end = 0;
+        for name in names {
+            let a = self.append(&Record::Delete {
+                name: name.to_string(),
+            })?;
+            bytes += a.bytes;
+            end = a.end;
+        }
+        Ok((bytes, self.sync_to(end)?))
     }
 
     /// Makes the log durable at least up to offset `upto` — the group
@@ -690,7 +768,7 @@ fn fresh_log(dir: &Path) -> Result<(File, u64)> {
         .create(true)
         .truncate(true)
         .open(&tmp)?;
-    let framed = frame(&Record::Checkpoint);
+    let framed = frame(&Record::Checkpoint.encode());
     file.write_all_at(&framed, 0)?;
     file.sync_data()?;
     std::fs::rename(&tmp, dir.join(WAL_FILE))?;
@@ -1059,6 +1137,30 @@ mod tests {
     }
 
     #[test]
+    fn crc32_matches_the_bitwise_definition_at_every_length() {
+        fn bitwise(bytes: &[u8]) -> u32 {
+            let mut crc = !0u32;
+            for &b in bytes {
+                crc ^= b as u32;
+                for _ in 0..8 {
+                    crc = if crc & 1 != 0 {
+                        (crc >> 1) ^ 0xEDB8_8320
+                    } else {
+                        crc >> 1
+                    };
+                }
+            }
+            !crc
+        }
+        let bytes: Vec<u8> = (0..300u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in 0..bytes.len() {
+            assert_eq!(crc32(&bytes[..len]), bitwise(&bytes[..len]), "len {len}");
+        }
+    }
+
+    #[test]
     fn record_roundtrip() {
         let records = [
             Record::PageImage {
@@ -1090,6 +1192,59 @@ mod tests {
         for r in &records {
             assert_eq!(Record::decode(&r.encode()).as_ref(), Some(r));
         }
+    }
+
+    #[test]
+    fn zero_before_image_is_a_flag_not_a_page() {
+        let zero = Record::TxnPageImage {
+            txn: 9,
+            name: "nodes".into(),
+            page: 3,
+            before: page(0),
+            after: page(0x5A),
+        };
+        let encoded = zero.encode();
+        let full = page_image_payload(Some(9), "nodes", 3, &page(1), &page(0x5A));
+        assert_eq!(encoded.len() + PS, full.len(), "before-image omitted");
+        assert_eq!(Record::decode(&encoded), Some(zero));
+        let untagged = Record::PageImage {
+            name: "f".into(),
+            page: 0,
+            before: page(0),
+            after: page(0),
+        };
+        assert_eq!(Record::decode(&untagged.encode()), Some(untagged));
+    }
+
+    #[test]
+    fn explicit_zero_before_image_still_decodes() {
+        // The format without the flag: the zero before-image is spelled
+        // out in full. Such records must decode to the same record.
+        let mut payload = vec![TAG_TXN_PAGE_IMAGE];
+        put_u64(&mut payload, 9);
+        put_u32(&mut payload, PS as u32);
+        put_name(&mut payload, "nodes");
+        put_u64(&mut payload, 3);
+        payload.extend_from_slice(&page(0));
+        payload.extend_from_slice(&page(0x5A));
+        assert_eq!(
+            Record::decode(&payload),
+            Some(Record::TxnPageImage {
+                txn: 9,
+                name: "nodes".into(),
+                page: 3,
+                before: page(0),
+                after: page(0x5A),
+            })
+        );
+        // A flagged record whose after-image is cut short is torn.
+        let mut torn = zero_flagged_payload();
+        torn.pop();
+        assert_eq!(Record::decode(&torn), None);
+    }
+
+    fn zero_flagged_payload() -> Vec<u8> {
+        page_image_payload(Some(9), "nodes", 3, &page(0), &page(0x5A))
     }
 
     #[test]
@@ -1198,7 +1353,7 @@ mod tests {
         let wal = Wal::open(&dir).unwrap();
         wal.append_page_image("gone", PageId(0), &page(1), &page(9))
             .unwrap();
-        wal.append_delete("gone").unwrap();
+        wal.append_deletes(&["gone"]).unwrap();
         drop(wal);
         let report = replay(&dir).unwrap();
         assert_eq!(report.files_deleted, 1);
@@ -1265,7 +1420,7 @@ mod tests {
         // checkpoint record was half-written when the process died.
         let dir = tmp_dir("tornhead");
         std::fs::write(dir.join("f.sdb"), page(0x77)).unwrap();
-        let full = frame(&Record::Checkpoint);
+        let full = frame(&Record::Checkpoint.encode());
         std::fs::write(dir.join(WAL_FILE), &full[..full.len() - 1]).unwrap();
         let report = replay(&dir).unwrap();
         assert_eq!(report.records, 0);

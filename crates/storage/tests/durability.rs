@@ -11,7 +11,9 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use xmldb_storage::{BTree, Env, EnvConfig, FaultBackend, FaultState, KillMode, StorageError};
+use xmldb_storage::{
+    BTree, Env, EnvConfig, FaultBackend, FaultState, KillMode, PageId, StorageError,
+};
 
 /// Unique scratch directory per test invocation.
 fn scratch(tag: &str) -> PathBuf {
@@ -230,6 +232,232 @@ fn recovery_report_surfaces_through_env() {
     drop(env);
     let env = Env::open_dir(&dir, config()).unwrap();
     assert!(env.recovery_report().unwrap().is_clean());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A transaction commit is the durability point: with no flush and no
+/// steal after it, the crash leaves only the WAL holding the committed
+/// pages, and recovery rebuilds them from it.
+#[test]
+fn committed_txn_survives_crash_before_any_flush_or_steal() {
+    let dir = scratch("commit-only");
+    let config = EnvConfig {
+        page_size: 256,
+        pool_bytes: 256 * 256,
+    };
+    let mut model = BTreeMap::new();
+    {
+        let env = Env::open_dir(&dir, config.clone()).unwrap();
+        let txn = env.begin_txn();
+        {
+            let _scope = txn.install();
+            let mut tree = BTree::create(&env, "t").unwrap();
+            for i in 0..60u64 {
+                tree.insert(&key(i), &value(i)).unwrap();
+                model.insert(key(i), value(i));
+            }
+        }
+        txn.commit().unwrap();
+        assert_eq!(env.io_stats().physical_writes, 0, "nothing was stolen");
+        // The crash: the environment is dropped without a flush.
+    }
+    let env = Env::open_dir(&dir, config).unwrap();
+    assert_eq!(env.recovery_report().unwrap().txns_committed, 1);
+    let tree = BTree::open(&env, "t").unwrap();
+    assert_eq!(tree_contents(&tree).unwrap(), model);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A frame a commit logged is marked durable in the WAL: its steal writes
+/// the data page with no second record and no fsync, and recovery still
+/// yields the committed image. An untransacted write to a marked frame
+/// clears the mark, so that frame's steal is logged again.
+#[test]
+fn steal_of_committed_frame_is_not_relogged() {
+    let dir = scratch("marked-steal");
+    let pages = 4u64;
+    {
+        let env = Env::open_dir(&dir, config()).unwrap();
+        let f = env.create_file("f").unwrap();
+        for i in 0..pages {
+            let p = env.allocate_page(f).unwrap();
+            env.with_page_mut(f, p, |d| d[0] = 0x10 + i as u8).unwrap();
+        }
+        env.flush().unwrap();
+        let txn = env.begin_txn();
+        {
+            let _scope = txn.install();
+            for i in 0..pages {
+                env.with_page_mut(f, PageId(i), |d| d[0] = 0xC0 + i as u8)
+                    .unwrap();
+            }
+        }
+        txn.commit().unwrap();
+        // Untransacted write to one marked frame: it must be logged again.
+        env.with_page_mut(f, PageId(0), |d| d[0] = 0xEE).unwrap();
+        let before = env.io_stats();
+        // Evict everything: read more pages than the 8-frame pool holds.
+        let g = env.create_file("g").unwrap();
+        for _ in 0..16 {
+            let p = env.allocate_page(g).unwrap();
+            env.with_page(g, p, |_| ()).unwrap();
+        }
+        let d = env.io_stats().delta(&before);
+        assert!(
+            d.physical_writes >= pages,
+            "all {pages} dirty frames stolen: {d:?}"
+        );
+        assert_eq!(
+            d.wal_appends, 1,
+            "only the rewritten frame is logged: {d:?}"
+        );
+        assert_eq!(d.wal_syncs, 1, "{d:?}");
+        // The crash: no flush after the commit.
+    }
+    let env = Env::open_dir(&dir, config()).unwrap();
+    let f = env.open_file("f").unwrap();
+    for i in 0..pages {
+        let got = env.with_page(f, PageId(i), |d| d[0]).unwrap();
+        assert_eq!(got, 0xC0 + i as u8, "page {i} holds its committed image");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A commit that leaves the log past the checkpoint threshold flushes and
+/// checkpoints after it is durable. When that flush fails, the commit
+/// still succeeds (it was durable already) and the next quiescent flush
+/// catches up.
+#[test]
+fn failed_auto_checkpoint_does_not_fail_the_commit() {
+    let dir = scratch("auto-ckpt");
+    let faults = FaultState::new();
+    let config = EnvConfig {
+        page_size: 8192,
+        pool_bytes: 64 * 8192,
+    };
+    let pages = 600u64;
+    {
+        let state = Arc::clone(&faults);
+        let env = Env::open_dir_with_decorator(
+            &dir,
+            config.clone(),
+            Arc::new(move |_name, inner| {
+                Arc::new(FaultBackend::new(inner, Arc::clone(&state))) as _
+            }),
+        )
+        .unwrap();
+        let f = env.create_file("big").unwrap();
+        let txn = env.begin_txn();
+        {
+            let _scope = txn.install();
+            for i in 0..pages {
+                let p = env.allocate_page(f).unwrap();
+                env.with_page_mut(f, p, |d| d[0] = (i % 251) as u8 + 1)
+                    .unwrap();
+            }
+        }
+        faults.fail_next_sync();
+        txn.commit().unwrap();
+        let wal = env.wal_bytes().unwrap();
+        assert!(
+            wal > xmldb_storage::wal::WAL_CHECKPOINT_BYTES,
+            "the failed flush must not have checkpointed: {wal} bytes"
+        );
+        // The retry: a quiescent flush applies the threshold.
+        env.flush().unwrap();
+        assert!(env.wal_bytes().unwrap() < 1024, "checkpointed now");
+    }
+    let env = Env::open_dir(&dir, config).unwrap();
+    let f = env.open_file("big").unwrap();
+    for i in 0..pages {
+        let got = env.with_page(f, PageId(i), |d| d[0]).unwrap();
+        assert_eq!(got, (i % 251) as u8 + 1, "page {i}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Hand-framed log record (`[len][crc32][payload]`).
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&xmldb_storage::crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// A transaction page image in the format without the zero-before flag:
+/// the before-image is written out in full even when it is all zeros.
+fn explicit_txn_image(txn: u64, name: &str, page: u64, before: &[u8], after: &[u8]) -> Vec<u8> {
+    let mut p = vec![0x05];
+    p.extend_from_slice(&txn.to_le_bytes());
+    p.extend_from_slice(&(before.len() as u32).to_le_bytes());
+    p.extend_from_slice(&(name.len() as u16).to_le_bytes());
+    p.extend_from_slice(name.as_bytes());
+    p.extend_from_slice(&page.to_le_bytes());
+    p.extend_from_slice(before);
+    p.extend_from_slice(after);
+    framed(&p)
+}
+
+fn txn_commit(txn: u64, page_size: usize, name: &str, pages: u64) -> Vec<u8> {
+    let mut p = vec![0x06];
+    p.extend_from_slice(&txn.to_le_bytes());
+    p.extend_from_slice(&(page_size as u32).to_le_bytes());
+    p.extend_from_slice(&1u32.to_le_bytes());
+    p.extend_from_slice(&(name.len() as u16).to_le_bytes());
+    p.extend_from_slice(name.as_bytes());
+    p.extend_from_slice(&pages.to_le_bytes());
+    framed(&p)
+}
+
+/// Zero before-images cost a flag, not a page, and replay rebuilds them;
+/// records that spell the zeros out in full still replay the same way.
+#[test]
+fn zero_before_images_replay_in_both_encodings() {
+    const PS: usize = 256;
+    let zeros = vec![0u8; PS];
+    let after = vec![0xABu8; PS];
+
+    // Flagged: a loser's page reverts to the rebuilt zeros, a winner's
+    // takes its after-image.
+    let dir = scratch("zero-before");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("z.sdb"), [after.clone(), after.clone()].concat()).unwrap();
+    {
+        let wal = xmldb_storage::Wal::open(&dir).unwrap();
+        wal.append_txn_page_image(1, "z", PageId(0), &zeros, &after)
+            .unwrap();
+        assert!(wal.len() < PS as u64 + 64, "one page logged, not two");
+        wal.append_txn_page_image(2, "z", PageId(1), &zeros, &after)
+            .unwrap();
+        wal.append_txn_commit(1, PS, vec![("z".into(), 2)]).unwrap();
+        wal.sync().unwrap();
+    }
+    let report = xmldb_storage::wal::replay(&dir).unwrap();
+    assert_eq!((report.txns_committed, report.txns_rolled_back), (1, 1));
+    assert_eq!(
+        std::fs::read(dir.join("z.sdb")).unwrap(),
+        [after.clone(), zeros.clone()].concat()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Explicit zeros (no flag), the same story.
+    let dir = scratch("zero-before-explicit");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("z.sdb"), [after.clone(), after.clone()].concat()).unwrap();
+    let log = [
+        explicit_txn_image(1, "z", 0, &zeros, &after),
+        explicit_txn_image(2, "z", 1, &zeros, &after),
+        txn_commit(1, PS, "z", 2),
+    ]
+    .concat();
+    std::fs::write(dir.join(xmldb_storage::wal::WAL_FILE), log).unwrap();
+    let report = xmldb_storage::wal::replay(&dir).unwrap();
+    assert_eq!(report.torn_bytes, 0, "explicit zeros decode: {report}");
+    assert_eq!((report.txns_committed, report.txns_rolled_back), (1, 1));
+    assert_eq!(
+        std::fs::read(dir.join("z.sdb")).unwrap(),
+        [after, zeros].concat()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

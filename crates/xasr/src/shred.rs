@@ -20,6 +20,10 @@ const SORT_BUDGET: usize = 4 << 20;
 /// Shreds `xml` into the three XASR indexes under document name `name` and
 /// returns the opened store.
 ///
+/// The shredder writes pages and makes nothing durable: the caller's
+/// transaction commit, or its [`Env::flush`] when it runs untransacted, is
+/// the durability point (see `Database::load_document`).
+///
 /// ```
 /// use xmldb_storage::Env;
 /// let env = Env::memory();
@@ -186,7 +190,6 @@ pub fn shred_document_with(
     stats.distinct_text_values = distinct.count;
 
     stats.save(env, &names.stats)?;
-    env.flush()?;
     XasrStore::from_parts(
         env.clone(),
         name.to_string(),
